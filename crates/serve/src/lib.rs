@@ -19,19 +19,18 @@
 //!   (one command per pop) and two-level backpressure: a full per-session
 //!   inbox replies `OVERLOADED`, a saturated global run queue replies
 //!   `BUSY`. Shutdown drains every queued command before workers exit.
-//! * [`server`] — the TCP front-end (`std::net` only): line protocol,
-//!   reply ordering under pipelining, graceful `SHUTDOWN`. Two
-//!   interchangeable connection front-ends implement it: the default
-//!   single-threaded epoll reactor ([`server_nb`], over the vendored
-//!   `reactor` crate) and the original thread-per-connection design
-//!   (`--front-end threads`), kept as the differential baseline.
+//! * [`server`] — the TCP server (`std::net` only): line protocol, reply
+//!   ordering under pipelining, graceful `SHUTDOWN`. One single-threaded
+//!   epoll reactor (`server_nb`, over the vendored `reactor` crate) owns
+//!   every connection.
 //! * [`router`] — `ops5-router`: a consistent-hash session-sharding proxy
 //!   that spreads sessions across several `ops5-serve` backends and
 //!   live-migrates them (`SNAPSHOT?`/`RESTORE`) when a backend drains.
 //! * [`client`] — a blocking client used by `bench`'s `serve_load` harness
 //!   and the integration tests.
 //!
-//! See [`protocol`] for the wire grammar.
+//! See [`protocol`] for the wire grammar and its one framer, shared by
+//! the server and the router.
 
 pub mod client;
 pub mod pool;
@@ -47,7 +46,7 @@ pub use pool::{Pool, PoolStats, Priority, SessionSlot, SubmitOutcome};
 pub use protocol::{parse_line, Line, Reply};
 pub use registry::{matcher_kind, ProgramSpec, Registry};
 pub use router::{Router, RouterConfig, RouterHandle};
-pub use server::{FrontEnd, ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};
 pub use session::{BatchItem, Command, Exec, Session};
 
 #[cfg(test)]

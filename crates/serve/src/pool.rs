@@ -42,7 +42,7 @@ use crate::protocol::Reply;
 use crate::session::{Command, Exec, Session};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A session's scheduling class. Order doubles as dequeue preference:
@@ -90,15 +90,14 @@ const AGE_PROMOTE: u32 = 32;
 
 /// Where a worker should deliver a command's reply.
 ///
-/// The thread front-end hands each command a one-shot channel whose
-/// receiver sits in the per-connection writer queue; the reactor front-end
-/// has no thread to block on a receiver, so its replies are pushed onto a
-/// shared [`Completions`] queue tagged with (connection, sequence) and the
-/// reactor thread is woken to route them into the connection's ordered
-/// reply slots.
+/// The reactor has no thread to block on a receiver, so replies are pushed
+/// onto a shared [`Completions`] queue tagged with (connection, sequence)
+/// and the reactor thread is woken to route them into the connection's
+/// ordered reply slots.
 pub enum ReplyTx {
-    /// One-shot channel (thread front-end, tests).
-    Channel(mpsc::SyncSender<Reply>),
+    /// One-shot channel, for the pool's own unit tests.
+    #[cfg(test)]
+    Channel(std::sync::mpsc::SyncSender<Reply>),
     /// Reactor completion: queue + (connection id, per-connection sequence).
     Completion {
         queue: Arc<Completions>,
@@ -111,6 +110,7 @@ impl ReplyTx {
     /// Delivers the reply; a vanished recipient is not an error.
     pub fn send(&self, reply: Reply) {
         match self {
+            #[cfg(test)]
             ReplyTx::Channel(tx) => {
                 let _ = tx.send(reply);
             }
@@ -614,6 +614,7 @@ fn worker_loop(inner: &PoolInner) {
 mod tests {
     use super::*;
     use engine::{EngineBuilder, MatcherKind};
+    use std::sync::mpsc;
 
     const SRC: &str = "(literalize item n)
                        (p consume (item ^n <n>) --> (remove 1))";

@@ -5,7 +5,9 @@
 //!                            open a session on a registered program,
 //!                            optionally in a scheduling class
 //!                            (high|normal|batch; default normal)
-//! OPEN - [matcher] [PRIO=<p>]  ... on inline source (lines follow, then END)
+//! OPEN - [matcher] [PRIO=<p>]  ... on inline source: lines follow, then
+//!                            END; the body is always read to its END,
+//!                            even when the OPEN is rejected
 //! ASSERT <class ^attr v ...> stage one WME               -> OK <timetag>
 //! RETRACT <timetag>          stage one retraction        -> OK <timetag>
 //! BATCH                      begin a multi-line batch (ASSERT/RETRACT
@@ -38,7 +40,13 @@
 //! (server-wide run queue saturated — retry later) and `OVERLOADED ...`
 //! (this session's command queue is full — drain replies first).
 //! Multi-line replies open with `<KIND> <count>` and close with `END`.
+//!
+//! Framing is sans-I/O and lives here once: [`Framer`] turns request lines
+//! into complete requests for the server and the router alike, and
+//! [`ReplyReader`] turns reply lines back into [`Reply`]s for the client
+//! and the router.
 
+use crate::session::BatchItem;
 use std::fmt;
 
 /// One parsed request line.
@@ -200,6 +208,153 @@ pub fn parse_line(line: &str) -> Result<Line, String> {
     }
 }
 
+/// One complete request, framed from the line stream by [`Framer`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Frame {
+    /// A single-line request. Never `BATCH`, `RESTORE`, or `OPEN -`:
+    /// those open a body and arrive as the frames below.
+    Line(Line),
+    /// `OPEN - [matcher] [PRIO=<class>]` with its inline program source.
+    OpenSource {
+        matcher: Option<String>,
+        prio: Option<String>,
+        source: String,
+    },
+    /// `RESTORE <program> [matcher] [PRIO=<class>]` with its body lines
+    /// (snapshot text, then any change-log tail).
+    Restore {
+        program: String,
+        matcher: Option<String>,
+        prio: Option<String>,
+        body: Vec<String>,
+    },
+    /// `BATCH` … `END`.
+    Batch(Vec<BatchItem>),
+    /// A request that cannot be framed: an unparsable line, or a `BATCH`
+    /// body line that aborts the batch. The text is the `ERR` payload.
+    Error(String),
+}
+
+/// The request framer: a pure state machine, lines in, [`Frame`]s out.
+/// Every frame draws exactly one reply, and what a line means depends
+/// only on the lines before it — never on session state — so the server
+/// and the router, which cannot see that state, frame identically.
+///
+/// Body terminators: `OPEN -` ends at a case-insensitive `END`; `RESTORE`
+/// at an exact-case `END` (the snapshot's own lowercase `end` stays in
+/// the body); `BATCH` at a line that parses as `END`. A `BATCH` body line
+/// other than `ASSERT`/`RETRACT` aborts the batch at once, and the lines
+/// after it frame as top-level requests.
+#[derive(Default)]
+pub struct Framer {
+    /// The multi-line frame being collected, if any.
+    open: Option<Frame>,
+    /// Lines seen in the open `BATCH` body, blanks included, so errors
+    /// point at the line the client actually sent (1-based).
+    batch_line: usize,
+}
+
+impl Framer {
+    pub fn new() -> Framer {
+        Framer::default()
+    }
+
+    /// True at top level: no multi-line body is open.
+    pub fn is_idle(&self) -> bool {
+        self.open.is_none()
+    }
+
+    /// Feeds one line (without its terminator); returns the frame it
+    /// completes, if any. Blank top-level lines complete nothing.
+    pub fn feed(&mut self, line: &str) -> Option<Frame> {
+        let Some(mut frame) = self.open.take() else {
+            return self.start(line);
+        };
+        let done = match &mut frame {
+            Frame::OpenSource { source, .. } => {
+                let end = line.trim().eq_ignore_ascii_case("END");
+                if !end {
+                    source.push_str(line);
+                    source.push('\n');
+                }
+                end
+            }
+            Frame::Restore { body, .. } => {
+                let end = line.trim() == "END";
+                if !end {
+                    body.push(line.to_string());
+                }
+                end
+            }
+            Frame::Batch(items) => {
+                self.batch_line += 1;
+                let n = self.batch_line;
+                match parse_line(line) {
+                    _ if line.trim().is_empty() => false,
+                    Ok(Line::Assert(body)) => {
+                        items.push(BatchItem::Assert { line: n, body });
+                        false
+                    }
+                    Ok(Line::Retract(tag)) => {
+                        items.push(BatchItem::Retract { line: n, tag });
+                        false
+                    }
+                    Ok(Line::End) => true,
+                    Ok(other) => {
+                        return Some(Frame::Error(format!(
+                            "BATCH line {n}: only ASSERT/RETRACT allowed, got {other:?}"
+                        )))
+                    }
+                    Err(e) => return Some(Frame::Error(format!("BATCH line {n}: {e}"))),
+                }
+            }
+            Frame::Line(_) | Frame::Error(_) => unreachable!("only body frames stay open"),
+        };
+        if done {
+            Some(frame)
+        } else {
+            self.open = Some(frame);
+            None
+        }
+    }
+
+    /// A top-level line: a whole request, or the head of a body.
+    fn start(&mut self, line: &str) -> Option<Frame> {
+        if line.trim().is_empty() {
+            return None;
+        }
+        let body = match parse_line(line) {
+            Err(e) => return Some(Frame::Error(e)),
+            Ok(Line::Open {
+                program,
+                matcher,
+                prio,
+            }) if program == "-" => Frame::OpenSource {
+                matcher,
+                prio,
+                source: String::new(),
+            },
+            Ok(Line::Restore {
+                program,
+                matcher,
+                prio,
+            }) => Frame::Restore {
+                program,
+                matcher,
+                prio,
+                body: Vec::new(),
+            },
+            Ok(Line::BatchStart) => {
+                self.batch_line = 0;
+                Frame::Batch(Vec::new())
+            }
+            Ok(other) => return Some(Frame::Line(other)),
+        };
+        self.open = Some(body);
+        None
+    }
+}
+
 /// One reply, ready to serialize. The `Busy`/`Overloaded` variants are the
 /// protocol's backpressure signals and are never folded into `Err`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,6 +373,75 @@ pub enum Reply {
 impl Reply {
     pub fn is_ok(&self) -> bool {
         matches!(self, Reply::Ok(_) | Reply::Multi { .. })
+    }
+
+    /// True for the two backpressure rejections.
+    pub fn is_backpressure(&self) -> bool {
+        matches!(self, Reply::Busy(_) | Reply::Overloaded(_))
+    }
+
+    /// Unwraps `OK <payload>`, turning anything else into an error string.
+    pub fn expect_ok(self) -> Result<String, String> {
+        match self {
+            Reply::Ok(s) => Ok(s),
+            other => Err(format!("expected OK, got {other:?}")),
+        }
+    }
+
+    /// Unwraps a multi-line reply's body lines.
+    pub fn expect_lines(self) -> Result<Vec<String>, String> {
+        match self {
+            Reply::Multi { lines, .. } => Ok(lines),
+            other => Err(format!("expected multi-line reply, got {other:?}")),
+        }
+    }
+}
+
+/// The reply reader, [`Framer`]'s counterpart on the receiving side:
+/// reply lines in, complete [`Reply`]s out. A multi-line head declares
+/// its body length (`<KIND> <n>`), so the body is counted rather than
+/// scanned for `END` — a body line that happens to read `END` cannot
+/// desync the stream. A head with no parsable count falls back to the
+/// terminator scan.
+#[derive(Default)]
+pub struct ReplyReader {
+    /// The multi-line reply being collected: head, body lines still
+    /// owed (`None` = scan for `END`), and the lines so far.
+    multi: Option<(String, Option<usize>, Vec<String>)>,
+}
+
+impl ReplyReader {
+    pub fn new() -> ReplyReader {
+        ReplyReader::default()
+    }
+
+    /// Feeds one reply line (without its terminator); returns the reply it
+    /// completes, if any.
+    pub fn feed(&mut self, line: String) -> Option<Reply> {
+        let Some((head, remaining, mut lines)) = self.multi.take() else {
+            let (tag, rest) = line.split_once(' ').unwrap_or((&line, ""));
+            let single: fn(String) -> Reply = match tag {
+                "OK" => Reply::Ok,
+                "ERR" => Reply::Err,
+                "BUSY" => Reply::Busy,
+                "OVERLOADED" => Reply::Overloaded,
+                _ => {
+                    let declared = rest.split_whitespace().next().and_then(|n| n.parse().ok());
+                    self.multi = Some((line, declared, Vec::new()));
+                    return None;
+                }
+            };
+            return Some(single(rest.to_string()));
+        };
+        let remaining = match remaining {
+            Some(0) => return Some(Reply::Multi { head, lines }),
+            None if line == "END" => return Some(Reply::Multi { head, lines }),
+            Some(n) => Some(n - 1),
+            None => None,
+        };
+        lines.push(line);
+        self.multi = Some((head, remaining, lines));
+        None
     }
 }
 
@@ -242,6 +466,7 @@ impl fmt::Display for Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_every_verb() {
@@ -366,5 +591,155 @@ mod tests {
             lines: vec!["p1 1 2".into(), "p2 3".into()],
         };
         assert_eq!(m.to_string(), "CS 2\np1 1 2\np2 3\nEND\n");
+    }
+
+    fn frames(script: &str) -> Vec<Frame> {
+        let mut framer = Framer::new();
+        script.lines().filter_map(|l| framer.feed(l)).collect()
+    }
+
+    #[test]
+    fn framer_frames_bodies_and_errors() {
+        let script = "OPEN - vs2 PRIO=high\n(p a)\n\n(p b)\nend\n\
+                      RESTORE adder\nsnap\nend\nlog\nEND\n\
+                      \n\
+                      BATCH\nASSERT a ^x 1\n\nRETRACT 7\nEND\n\
+                      BATCH\nASSERT a ^x 1\nRUN 1\nEND\n\
+                      FROB\n";
+        assert_eq!(
+            frames(script),
+            vec![
+                Frame::OpenSource {
+                    matcher: Some("vs2".into()),
+                    prio: Some("high".into()),
+                    source: "(p a)\n\n(p b)\n".into(),
+                },
+                Frame::Restore {
+                    program: "adder".into(),
+                    matcher: None,
+                    prio: None,
+                    body: vec!["snap".into(), "end".into(), "log".into()],
+                },
+                Frame::Batch(vec![
+                    BatchItem::Assert {
+                        line: 1,
+                        body: "a ^x 1".into()
+                    },
+                    BatchItem::Retract { line: 3, tag: 7 },
+                ]),
+                Frame::Error("BATCH line 2: only ASSERT/RETRACT allowed, got Run(1)".into()),
+                // The aborted batch's remaining lines frame at top level.
+                Frame::Line(Line::End),
+                Frame::Error("unknown request `FROB`".into()),
+            ]
+        );
+    }
+
+    /// The body of an `OPEN -` is read to its `END` whatever its arguments:
+    /// framing never depends on whether the server will accept the OPEN.
+    #[test]
+    fn rejected_open_body_is_one_frame() {
+        for head in ["OPEN - nosuch", "OPEN - vs2 PRIO=bogus"] {
+            let got = frames(&format!("{head}\nRUN 1\nCLOSE\nEND\nSTATS?\n"));
+            assert_eq!(got.len(), 2, "{got:?}");
+            assert!(
+                matches!(&got[0], Frame::OpenSource { source, .. } if source == "RUN 1\nCLOSE\n")
+            );
+            assert_eq!(got[1], Frame::Line(Line::Stats));
+        }
+        let mut framer = Framer::new();
+        assert_eq!(framer.feed("OPEN - psm"), None);
+        assert!(!framer.is_idle());
+        assert!(framer.feed("End").is_some());
+        assert!(framer.is_idle());
+    }
+
+    #[test]
+    fn reply_reader_counts_declared_bodies() {
+        let mut r = ReplyReader::new();
+        let mut feed = |l: &str| r.feed(l.to_string());
+        assert_eq!(feed("OK 17"), Some(Reply::Ok("17".into())));
+        assert_eq!(feed("OK"), Some(Reply::Ok(String::new())));
+        assert_eq!(feed("BUSY q"), Some(Reply::Busy("q".into())));
+        // A declared body line that reads `END` is body, not terminator.
+        assert_eq!(feed("WM 2"), None);
+        assert_eq!(feed("END"), None);
+        assert_eq!(feed("x"), None);
+        assert_eq!(
+            feed("END"),
+            Some(Reply::Multi {
+                head: "WM 2".into(),
+                lines: vec!["END".into(), "x".into()],
+            })
+        );
+        // No parsable count: scan for the terminator.
+        assert_eq!(feed("RING ?"), None);
+        assert_eq!(feed("a"), None);
+        assert_eq!(
+            feed("END"),
+            Some(Reply::Multi {
+                head: "RING ?".into(),
+                lines: vec!["a".into()],
+            })
+        );
+    }
+
+    /// Request lines the split-invariance property draws its scripts from:
+    /// every body kind, their terminators in both cases, a batch abort,
+    /// blanks, and a CRLF line.
+    const SCRIPT_LINES: &[&str] = &[
+        "OPEN - vs2",
+        "OPEN blocks",
+        "(p r (x ^v 1) --> (halt))",
+        "END",
+        "end",
+        "BATCH",
+        "ASSERT x ^v 1",
+        "RETRACT 3",
+        "RESTORE adder",
+        "RUN 2",
+        "STATS?\r",
+        "",
+        "FROB",
+        "CLOSE",
+    ];
+
+    fn framed(reads: &[&[u8]]) -> Vec<Frame> {
+        let mut buf = reactor::LineBuf::new();
+        let mut framer = Framer::new();
+        let mut out = Vec::new();
+        for read in reads {
+            buf.extend(read);
+            while let Some(line) = buf.next_line() {
+                out.extend(framer.feed(&line));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Any split of a byte stream into reads, fed through `LineBuf`
+        /// and the `Framer`, yields the frames of the stream read whole.
+        #[test]
+        fn framing_is_invariant_under_read_splits(
+            picks in proptest::collection::vec(0usize..SCRIPT_LINES.len(), 1..48),
+            cuts in proptest::collection::vec(1usize..24, 1..64),
+        ) {
+            let script: String = picks.iter().map(|&i| format!("{}\n", SCRIPT_LINES[i])).collect();
+            let bytes = script.as_bytes();
+            let mut reads = Vec::new();
+            let mut at = 0;
+            for &n in cuts.iter().cycle() {
+                if at >= bytes.len() {
+                    break;
+                }
+                let end = (at + n).min(bytes.len());
+                reads.push(&bytes[at..end]);
+                at = end;
+            }
+            prop_assert_eq!(framed(&reads), framed(&[bytes]));
+        }
     }
 }

@@ -11,10 +11,11 @@
 //! The router is a line-level proxy on a single reactor thread. For each
 //! client connection it tracks just enough protocol state to stay honest:
 //!
-//! * client→backend framing (`OPEN -`/`BATCH`/`RESTORE` bodies) and a
-//!   count of requests in flight, mirroring the server's own framing;
-//! * backend→client reply framing (single-line `OK`/`ERR`/`BUSY`/
-//!   `OVERLOADED` vs multi-line…`END`), which is how in-flight drops;
+//! * client→backend framing through the server's own [`Framer`], and a
+//!   count of requests in flight: each completed frame draws exactly one
+//!   reply;
+//! * backend→client reply framing through the client's own
+//!   [`ReplyReader`], which is how in-flight drops;
 //! * the session's registry program and matcher, sniffed from the `OPEN`/
 //!   `RESTORE` the client sent (confirmed against the backend's `OK`), so
 //!   the session can be reconstructed elsewhere.
@@ -23,7 +24,7 @@
 //! the admin dialect instead: `RING?` (backend liveness + load), `DRAIN
 //! <i>` (mark backend `i` dead on the ring and migrate its sessions away),
 //! `STATS?`, and `SHUTDOWN`. Migration happens at each connection's safe
-//! point — no requests in flight, top-level framing — and replays the
+//! point — framer at top level, nothing in flight — and replays the
 //! durable-session machinery over the wire: `SNAPSHOT?` on the old
 //! backend, `CLOSE`, then `RESTORE <program> [matcher]` + snapshot + `END`
 //! on the ring's new target. A pair that is mid command when the drain
@@ -43,7 +44,7 @@
 //! down a shared backend); `ADMIN SHUTDOWN` stops the router and forwards
 //! the shutdown to every live backend.
 
-use crate::protocol::{parse_line, Line};
+use crate::protocol::{Frame, Framer, Line, Reply, ReplyReader};
 use reactor::{Events, Interest, LineBuf, Poll, Token, Waker, WriteBuf};
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -367,29 +368,6 @@ struct MigDone {
     result: Result<(TcpStream, LineBuf), String>,
 }
 
-/// Client→backend framing, mirroring the server's body modes so request
-/// counting stays in sync even across multi-line commands.
-enum CMode {
-    Top,
-    OpenBody,
-    RestoreBody,
-    BatchBody,
-}
-
-/// Backend→client reply framing.
-#[derive(Clone, Copy)]
-enum RMode {
-    Idle,
-    /// Inside a multi-line reply. Every multi-line head declares its body
-    /// length (`SNAPSHOT <n>`, `METRICS <n>`, …), so `remaining` counts
-    /// down to the `END` terminator instead of scanning for it — a body
-    /// line that happens to equal `END` cannot desync the framing. `None`
-    /// falls back to the terminator scan for a head with no parsable count.
-    Multi {
-        remaining: Option<usize>,
-    },
-}
-
 /// What an in-flight request will tell us when its reply lands.
 enum Tag {
     /// `OPEN`/`RESTORE`: on `OK`, a session exists; `Some` carries the
@@ -432,8 +410,10 @@ struct Pair {
     c_interest: Interest,
     backend: Option<Backend>,
     backend_idx: usize,
-    c_mode: CMode,
-    r_mode: RMode,
+    /// Client→backend request framing.
+    framer: Framer,
+    /// Backend→client reply framing.
+    replies: ReplyReader,
     /// Requests forwarded whose replies have not yet fully returned.
     in_flight: u64,
     tags: VecDeque<Tag>,
@@ -468,8 +448,8 @@ impl Pair {
             c_interest: Interest::READABLE,
             backend: None,
             backend_idx: usize::MAX,
-            c_mode: CMode::Top,
-            r_mode: RMode::Idle,
+            framer: Framer::new(),
+            replies: ReplyReader::new(),
             in_flight: 0,
             tags: VecDeque::new(),
             session_open: false,
@@ -561,42 +541,8 @@ fn backend_read(pair: &mut Pair) {
         }
         pair.c_wr.push(line.as_bytes());
         pair.c_wr.push(b"\n");
-        match pair.r_mode {
-            RMode::Idle => {
-                let single = ["OK", "ERR", "BUSY", "OVERLOADED"]
-                    .iter()
-                    .any(|p| line == *p || line.starts_with(&format!("{p} ")));
-                if single {
-                    complete_reply(pair, &line);
-                } else {
-                    let declared = line
-                        .split_whitespace()
-                        .nth(1)
-                        .and_then(|t| t.parse::<usize>().ok());
-                    pair.r_mode = RMode::Multi {
-                        remaining: declared,
-                    };
-                }
-            }
-            RMode::Multi { remaining } => match remaining {
-                Some(0) => {
-                    // All declared body lines consumed: this line is the
-                    // END terminator.
-                    pair.r_mode = RMode::Idle;
-                    complete_reply(pair, "");
-                }
-                Some(n) => {
-                    pair.r_mode = RMode::Multi {
-                        remaining: Some(n - 1),
-                    };
-                }
-                None => {
-                    if line == "END" {
-                        pair.r_mode = RMode::Idle;
-                        complete_reply(pair, "");
-                    }
-                }
-            },
+        if let Some(reply) = pair.replies.feed(line) {
+            complete_reply(pair, matches!(reply, Reply::Ok(_)));
         }
     }
     if pair.backend_gone {
@@ -608,9 +554,8 @@ fn backend_read(pair: &mut Pair) {
 
 /// Bookkeeping when one full reply has been relayed: the in-flight count
 /// drops and the oldest tag resolves session state.
-fn complete_reply(pair: &mut Pair, first_line: &str) {
+fn complete_reply(pair: &mut Pair, ok: bool) {
     pair.in_flight = pair.in_flight.saturating_sub(1);
-    let ok = first_line.starts_with("OK");
     match pair.tags.pop_front() {
         Some(Tag::Open(info)) => {
             if ok {
@@ -671,7 +616,7 @@ fn service_pair(pairs: &mut [Option<Pair>], idx: usize, state: &mut State, poll:
                     return;
                 }
                 if pair.migrate_pending {
-                    let at_top = matches!(pair.c_mode, CMode::Top);
+                    let at_top = pair.framer.is_idle();
                     if at_top && pair.in_flight == 0 {
                         // Safe point: hand the backend to a helper thread
                         // (or resolve trivially) before routing more.
@@ -760,89 +705,34 @@ fn open_backend(addr: SocketAddr) -> io::Result<Backend> {
     })
 }
 
-/// Forwards one client line to the backend, keeping framing, the
-/// in-flight count, and the session sniff in step with what the server
-/// will do with it.
+/// Forwards one client line to the backend. The framer says when a
+/// request completes — each completed frame draws exactly one reply — and
+/// what that reply will mean for the session being tracked.
 fn route_line(pair: &mut Pair, line: String) {
-    let trimmed = line.trim().to_string();
-    match pair.c_mode {
-        CMode::Top => {
-            if trimmed.is_empty() {
-                forward(pair, &line);
-                return;
-            }
-            match parse_line(&trimmed) {
-                Ok(Line::Shutdown) => {
-                    // One tenant must not kill every session on a shared
-                    // backend. (Router-originated reply: safe only because
-                    // a well-behaved client has drained earlier replies;
-                    // a pipelined SHUTDOWN may see it early.)
-                    pair.reply("ERR SHUTDOWN not allowed through router (use ADMIN)");
-                    return;
-                }
-                Ok(Line::Open {
-                    program, matcher, ..
-                }) => {
-                    pair.in_flight += 1;
-                    if program == "-" {
-                        pair.tags.push_back(Tag::Open(None));
-                        pair.c_mode = CMode::OpenBody;
-                    } else {
-                        pair.tags
-                            .push_back(Tag::Open(Some(SessionInfo { program, matcher })));
-                    }
-                }
-                Ok(Line::Restore {
-                    program, matcher, ..
-                }) => {
-                    pair.in_flight += 1;
-                    pair.tags
-                        .push_back(Tag::Open(Some(SessionInfo { program, matcher })));
-                    pair.c_mode = CMode::RestoreBody;
-                }
-                Ok(Line::BatchStart) => {
-                    pair.in_flight += 1;
-                    pair.tags.push_back(Tag::Other);
-                    pair.c_mode = CMode::BatchBody;
-                }
-                Ok(Line::Close) => {
-                    pair.in_flight += 1;
-                    pair.tags.push_back(Tag::Close);
-                }
-                // Everything else — session commands, END outside BATCH,
-                // unparsable lines — draws exactly one reply.
-                Ok(_) | Err(_) => {
-                    pair.in_flight += 1;
-                    pair.tags.push_back(Tag::Other);
-                }
-            }
-            forward(pair, &line);
+    let tag = match pair.framer.feed(&line) {
+        // A body line or a blank: no reply owed yet.
+        None => return forward(pair, &line),
+        Some(Frame::Line(Line::Shutdown)) => {
+            // One tenant must not kill every session on a shared
+            // backend. (Router-originated reply: safe only because a
+            // well-behaved client has drained earlier replies; a
+            // pipelined SHUTDOWN may see it early.)
+            pair.reply("ERR SHUTDOWN not allowed through router (use ADMIN)");
+            return;
         }
-        CMode::OpenBody => {
-            if trimmed.eq_ignore_ascii_case("END") {
-                pair.c_mode = CMode::Top;
-            }
-            forward(pair, &line);
-        }
-        CMode::RestoreBody => {
-            if trimmed == "END" {
-                pair.c_mode = CMode::Top;
-            }
-            forward(pair, &line);
-        }
-        CMode::BatchBody => {
-            if !trimmed.is_empty() {
-                match parse_line(&trimmed) {
-                    Ok(Line::Assert(_)) | Ok(Line::Retract(_)) => {}
-                    // END closes the batch; anything else aborts it on the
-                    // server (early ERR), so framing returns to top level
-                    // either way.
-                    Ok(_) | Err(_) => pair.c_mode = CMode::Top,
-                }
-            }
-            forward(pair, &line);
-        }
-    }
+        Some(Frame::Line(Line::Open {
+            program, matcher, ..
+        }))
+        | Some(Frame::Restore {
+            program, matcher, ..
+        }) => Tag::Open(Some(SessionInfo { program, matcher })),
+        Some(Frame::OpenSource { .. }) => Tag::Open(None),
+        Some(Frame::Line(Line::Close)) => Tag::Close,
+        Some(_) => Tag::Other,
+    };
+    forward(pair, &line);
+    pair.in_flight += 1;
+    pair.tags.push_back(tag);
 }
 
 fn forward(pair: &mut Pair, line: &str) {
@@ -974,11 +864,14 @@ fn admin_line(
     }
 }
 
-/// Reads one line from a blocking stream through a [`LineBuf`].
-fn blocking_line(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<String, String> {
+/// Reads one whole reply from a blocking stream through a [`LineBuf`].
+fn blocking_reply(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<Reply, String> {
+    let mut reader = ReplyReader::new();
     loop {
-        if let Some(l) = buf.next_line() {
-            return Ok(l);
+        while let Some(line) = buf.next_line() {
+            if let Some(reply) = reader.feed(line) {
+                return Ok(reply);
+            }
         }
         match buf.read_from(stream) {
             Ok(0) => return Err("backend closed mid-reply".into()),
@@ -988,8 +881,8 @@ fn blocking_line(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<String, St
     }
 }
 
-/// Attempts the pending migration at a safe point (no requests in flight,
-/// top-level framing). Returns true when the pending flag cleared without
+/// Attempts the pending migration at a safe point (framer at top level,
+/// nothing in flight). Returns true when the pending flag cleared without
 /// leaving the reactor — nothing needed to move. Otherwise returns false:
 /// either the snapshot/restore conversation was handed to a helper thread
 /// (`migrating` set; the result comes back through the waker) or the
@@ -997,7 +890,7 @@ fn blocking_line(stream: &mut TcpStream, buf: &mut LineBuf) -> Result<String, St
 /// down — losing state silently would be worse than losing the
 /// connection loudly.
 fn try_migrate(pair: &mut Pair, idx: usize, state: &mut State, poll: &Poll) -> bool {
-    if pair.in_flight > 0 || !matches!(pair.c_mode, CMode::Top) || pair.migrating {
+    if pair.in_flight > 0 || !pair.framer.is_idle() || pair.migrating {
         return false;
     }
     let Some(target) = state
@@ -1068,22 +961,19 @@ fn migrate_conversation(
         old_stream
             .write_all(b"SNAPSHOT?\n")
             .map_err(|e| format!("snapshot request: {e}"))?;
-        let head = blocking_line(&mut old_stream, &mut old_rd)?;
-        if !head.starts_with("SNAPSHOT") {
-            return Err(format!("unexpected SNAPSHOT? reply: {head}"));
-        }
-        let mut body = Vec::new();
-        loop {
-            let l = blocking_line(&mut old_stream, &mut old_rd)?;
-            if l == "END" {
-                break;
+        let body = match blocking_reply(&mut old_stream, &mut old_rd)? {
+            Reply::Multi { head, lines } if head.starts_with("SNAPSHOT") => lines,
+            other => {
+                return Err(format!(
+                    "unexpected SNAPSHOT? reply: {}",
+                    other.to_string().trim_end()
+                ))
             }
-            body.push(l);
-        }
+        };
         old_stream
             .write_all(b"CLOSE\n")
             .map_err(|e| format!("close request: {e}"))?;
-        let _ = blocking_line(&mut old_stream, &mut old_rd)?;
+        blocking_reply(&mut old_stream, &mut old_rd)?;
         Some(body)
     } else {
         None
@@ -1111,9 +1001,12 @@ fn migrate_conversation(
         payload.push_str("END\n");
         ns.write_all(payload.as_bytes())
             .map_err(|e| format!("restore request: {e}"))?;
-        let reply = blocking_line(&mut ns, &mut nrd)?;
-        if !reply.starts_with("OK") {
-            return Err(format!("restore rejected: {reply}"));
+        let reply = blocking_reply(&mut ns, &mut nrd)?;
+        if !matches!(reply, Reply::Ok(_)) {
+            return Err(format!(
+                "restore rejected: {}",
+                reply.to_string().trim_end()
+            ));
         }
     }
     ns.set_nonblocking(true)

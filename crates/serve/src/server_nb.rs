@@ -1,15 +1,11 @@
-//! The reactor front-end: one thread owns accept, read, and write for
-//! every connection.
-//!
-//! Where the thread front-end spends two OS threads per connection, this
-//! module multiplexes all of them over a single epoll loop (the vendored
+//! The reactor: one thread owns accept, read, and write for every
+//! connection, multiplexed over a single epoll loop (the vendored
 //! [`reactor`] crate). Each connection is a small state machine:
 //!
 //! * [`reactor::LineBuf`] reassembles lines across arbitrary read
-//!   boundaries, and [`Mode`] tracks multi-line framing (`OPEN -` bodies,
-//!   `BATCH`…`END`, `RESTORE`…`END`) exactly as the thread front-end's
-//!   reader does, so a command split anywhere — even mid-body — parses
-//!   identically.
+//!   boundaries, and a [`Framer`] turns them into complete requests
+//!   (`OPEN -` bodies, `BATCH`…`END`, `RESTORE`…`END`), so a command split
+//!   anywhere — even mid-body — frames identically.
 //! * Replies must arrive in request order under pipelining even though
 //!   commands execute on pool workers. Every request reserves a slot in
 //!   the connection's `pending` queue *before* it is submitted; direct
@@ -17,7 +13,9 @@
 //!   replies come back through the shared [`Completions`] queue tagged
 //!   with (connection id, sequence) and a [`reactor::Waker`] kick. Only
 //!   the queue's *front* run of filled slots is flushed, which is the
-//!   whole ordering argument.
+//!   whole ordering argument. Backpressure — the pool's per-session inbox
+//!   (`OVERLOADED`) and run queue (`BUSY`) — answers through the same
+//!   reserved slot.
 //! * A slow client costs memory, not a thread — and the memory is capped:
 //!   once the outbound buffer reaches [`ServeConfig::write_buf_cap`]
 //!   (checked before each append, so one oversized reply still goes out),
@@ -25,17 +23,12 @@
 //!   force-closed after [`OVERLOAD_GRACE`] if the client never reads even
 //!   that, so a stalled peer cannot pin the fd and buffer indefinitely.
 //!
-//! Backpressure is unchanged from the thread front-end: the pool's
-//! per-session inbox (`OVERLOADED`) and global run queue (`BUSY`) answer
-//! through the same reserved slot, so the two front-ends are
-//! byte-identical on the wire.
-//!
 //! [`ServeConfig::write_buf_cap`]: crate::server::ServeConfig::write_buf_cap
 
 use crate::pool::{Completions, ReplyTx, SessionSlot, SubmitOutcome};
-use crate::protocol::{parse_line, Line, Reply};
+use crate::protocol::{Frame, Framer, Line, Reply};
 use crate::server::{self, Shared};
-use crate::session::{BatchItem, Command};
+use crate::session::Command;
 use reactor::{Events, Interest, LineBuf, Poll, Token, Waker, WriteBuf};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -56,49 +49,14 @@ const TICK: Duration = Duration::from_millis(100);
 /// After `SHUTDOWN`, how long connections get to flush queued replies.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 /// How long an overloaded connection gets to drain its final
-/// `ERR overloaded` before being force-closed — the reactor's analogue of
-/// the thread front-end's `WRITE_STALL` write timeout. Without it, a
-/// client that never reads pins the fd and up to `write_buf_cap` bytes
-/// forever.
+/// `ERR overloaded` before being force-closed. Without it, a client that
+/// never reads pins the fd and up to `write_buf_cap` bytes forever.
 const OVERLOAD_GRACE: Duration = Duration::from_secs(5);
 /// How often the loop sweeps for expired overload deadlines.
 const OVERLOAD_SCAN: Duration = Duration::from_millis(500);
 /// Reads per readable event before yielding back to the loop; leftover
 /// data re-fires under level triggering, so this is fairness, not loss.
 const READS_PER_EVENT: usize = 8;
-
-/// Multi-line framing state, mirroring the thread front-end's nested read
-/// loops. `Lines` is the top level; the body modes collect until their
-/// terminator.
-enum Mode {
-    Lines,
-    /// `OPEN -` inline program body (terminator: case-insensitive `END`).
-    /// The matcher is resolved at the `OPEN` line, as the thread front-end
-    /// does, so a bad matcher never enters body mode.
-    OpenBody {
-        program: String,
-        kind: engine::MatcherKind,
-        prio: Option<crate::pool::Priority>,
-        src: String,
-    },
-    /// `RESTORE` body (terminator: exact-case `END`; the snapshot's own
-    /// lowercase `end` stays in the body). Collected unconditionally —
-    /// checks happen at the terminator, matching the thread front-end.
-    RestoreBody {
-        program: String,
-        matcher: Option<String>,
-        prio: Option<String>,
-        lines: Vec<String>,
-    },
-    /// `BATCH` body. `line_no` counts every line after `BATCH` (blanks
-    /// included) for error positions. A bad line aborts the batch
-    /// immediately: the rest of the body parses as top-level commands,
-    /// exactly like the thread front-end's early `break`.
-    BatchBody {
-        items: Vec<BatchItem>,
-        line_no: usize,
-    },
-}
 
 /// One reply slot in a connection's ordered queue. Slot *i* (from the
 /// front) answers request `first_seq + i`.
@@ -117,7 +75,7 @@ struct Conn {
     rd: LineBuf,
     wr: WriteBuf,
     interest: Interest,
-    mode: Mode,
+    framer: Framer,
     slot: Option<Arc<SessionSlot>>,
     pending: VecDeque<PendingSlot>,
     /// Sequence number of `pending.front()`.
@@ -144,7 +102,7 @@ impl Conn {
             rd: LineBuf::new(),
             wr: WriteBuf::new(),
             interest: Interest::READABLE,
-            mode: Mode::Lines,
+            framer: Framer::new(),
             slot: None,
             pending: VecDeque::new(),
             first_seq: 0,
@@ -282,8 +240,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
                         }
                         if !conn.dead {
                             // Complete lines received before EOF still
-                            // execute (the thread front-end does the same:
-                            // buffered lines drain before EOF is seen).
+                            // execute.
                             process(conn, shared, &completions);
                             if eof {
                                 conn.stop_input = true;
@@ -363,274 +320,139 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
     Ok(())
 }
 
-/// Consumes every complete line buffered on the connection, advancing the
-/// framing state machine and queueing commands/replies.
+/// Consumes every complete line buffered on the connection, feeding the
+/// framer and dispatching each request it completes.
 fn process(conn: &mut Conn, shared: &Arc<Shared>, completions: &Arc<Completions>) {
     while !conn.stop_input {
         let Some(line) = conn.rd.next_line() else {
             break;
         };
-        match std::mem::replace(&mut conn.mode, Mode::Lines) {
-            Mode::Lines => handle_line(conn, shared, completions, line),
-            Mode::OpenBody {
-                program,
-                kind,
-                prio,
-                mut src,
-            } => {
-                if line.trim().eq_ignore_ascii_case("END") {
-                    match server::open_session(shared, &program, kind, prio, Some(src)) {
-                        Ok((slot, ok)) => {
-                            conn.slot = Some(slot);
-                            conn.direct(ok);
-                        }
-                        Err(e) => conn.direct(e),
-                    }
-                } else {
-                    src.push_str(&line);
-                    src.push('\n');
-                    conn.mode = Mode::OpenBody {
-                        program,
-                        kind,
-                        prio,
-                        src,
-                    };
-                }
-            }
-            Mode::RestoreBody {
-                program,
-                matcher,
-                prio,
-                mut lines,
-            } => {
-                if line.trim() == "END" {
-                    if conn.slot.is_some() {
-                        conn.direct(Reply::Err("session already open (CLOSE first)".into()));
-                    } else {
-                        match server::resolve_matcher(shared, matcher.as_deref()).and_then(|kind| {
-                            server::resolve_priority(prio.as_deref()).map(|p| (kind, p))
-                        }) {
-                            Ok((kind, p)) => {
-                                match server::restore_session(shared, &program, kind, p, &lines) {
-                                    Ok((slot, ok)) => {
-                                        conn.slot = Some(slot);
-                                        conn.direct(ok);
-                                    }
-                                    Err(e) => conn.direct(e),
-                                }
-                            }
-                            Err(e) => conn.direct(Reply::Err(e)),
-                        }
-                    }
-                } else {
-                    lines.push(line);
-                    conn.mode = Mode::RestoreBody {
-                        program,
-                        matcher,
-                        prio,
-                        lines,
-                    };
-                }
-            }
-            Mode::BatchBody {
-                mut items,
-                mut line_no,
-            } => {
-                line_no += 1;
-                if line.trim().is_empty() {
-                    conn.mode = Mode::BatchBody { items, line_no };
-                    continue;
-                }
-                match parse_line(&line) {
-                    Ok(Line::Assert(body)) => {
-                        items.push(BatchItem::Assert {
-                            line: line_no,
-                            body,
-                        });
-                        conn.mode = Mode::BatchBody { items, line_no };
-                    }
-                    Ok(Line::Retract(tag)) => {
-                        items.push(BatchItem::Retract { line: line_no, tag });
-                        conn.mode = Mode::BatchBody { items, line_no };
-                    }
-                    Ok(Line::End) => {
-                        if conn.slot.is_some() {
-                            submit_cmd(conn, shared, completions, Command::Batch(items));
-                        } else {
-                            conn.direct(Reply::Err("no open session".into()));
-                        }
-                    }
-                    Ok(other) => conn.direct(Reply::Err(format!(
-                        "BATCH line {line_no}: only ASSERT/RETRACT allowed, got {other:?}"
-                    ))),
-                    Err(e) => conn.direct(Reply::Err(format!("BATCH line {line_no}: {e}"))),
-                }
-            }
+        if let Some(frame) = conn.framer.feed(&line) {
+            handle_frame(conn, shared, completions, frame);
         }
     }
 }
 
-/// Top-level (non-body) command dispatch; mirrors the thread front-end's
-/// `conn_loop` arm for arm.
-fn handle_line(
+/// Answers or submits one framed request.
+fn handle_frame(
     conn: &mut Conn,
     shared: &Arc<Shared>,
     completions: &Arc<Completions>,
-    line: String,
+    frame: Frame,
 ) {
-    if line.trim().is_empty() {
-        return;
-    }
-    let parsed = match parse_line(&line) {
-        Ok(l) => l,
-        Err(e) => {
-            conn.direct(Reply::Err(e));
-            return;
+    let opened = match frame {
+        Frame::Error(e) => return conn.direct(Reply::Err(e)),
+        Frame::Line(Line::Open { .. }) | Frame::OpenSource { .. } | Frame::Restore { .. }
+            if conn.slot.is_some() =>
+        {
+            return conn.direct(Reply::Err("session already open (CLOSE first)".into()));
         }
+        Frame::Line(Line::Open {
+            program,
+            matcher,
+            prio,
+        }) => server::open_session(shared, &program, matcher.as_deref(), prio.as_deref(), None),
+        Frame::OpenSource {
+            matcher,
+            prio,
+            source,
+        } => server::open_session(
+            shared,
+            "-",
+            matcher.as_deref(),
+            prio.as_deref(),
+            Some(source),
+        ),
+        Frame::Restore {
+            program,
+            matcher,
+            prio,
+            body,
+        } => server::restore_session(shared, &program, matcher.as_deref(), prio.as_deref(), &body),
+        Frame::Batch(items) => {
+            return session_cmd(conn, shared, completions, Command::Batch(items))
+        }
+        Frame::Line(line) => return handle_line(conn, shared, completions, line),
     };
-    match parsed {
-        Line::Open {
-            program,
-            matcher,
-            prio,
-        } => {
-            if conn.slot.is_some() {
-                conn.direct(Reply::Err("session already open (CLOSE first)".into()));
-                // An inline body would follow; we cannot know, so leave it
-                // to parse as commands and fail loudly.
-                return;
-            }
-            let kind = match server::resolve_matcher(shared, matcher.as_deref()) {
-                Ok(k) => k,
-                Err(e) => {
-                    conn.direct(Reply::Err(e));
-                    return;
-                }
-            };
-            let prio = match server::resolve_priority(prio.as_deref()) {
-                Ok(p) => p,
-                Err(e) => {
-                    conn.direct(Reply::Err(e));
-                    return;
-                }
-            };
-            if program == "-" {
-                conn.mode = Mode::OpenBody {
-                    program,
-                    kind,
-                    prio,
-                    src: String::new(),
-                };
-            } else {
-                match server::open_session(shared, &program, kind, prio, None) {
-                    Ok((slot, ok)) => {
-                        conn.slot = Some(slot);
-                        conn.direct(ok);
-                    }
-                    Err(e) => conn.direct(e),
-                }
-            }
+    match opened {
+        Ok((slot, ok)) => {
+            conn.slot = Some(slot);
+            conn.direct(ok);
         }
-        Line::Restore {
-            program,
-            matcher,
-            prio,
-        } => {
-            conn.mode = Mode::RestoreBody {
-                program,
-                matcher,
-                prio,
-                lines: Vec::new(),
-            };
-        }
-        Line::BatchStart => {
-            conn.mode = Mode::BatchBody {
-                items: Vec::new(),
-                line_no: 0,
-            };
-        }
-        Line::End => conn.direct(Reply::Err("END outside BATCH".into())),
-        Line::Metrics => {
-            let reply = server::metrics_reply(shared);
-            conn.direct(reply);
-        }
+        Err(e) => conn.direct(e),
+    }
+}
+
+/// A single-line request other than `OPEN`.
+fn handle_line(conn: &mut Conn, shared: &Arc<Shared>, completions: &Arc<Completions>, line: Line) {
+    let cmd = match line {
+        Line::End => return conn.direct(Reply::Err("END outside BATCH".into())),
+        // Server-wide: works without an open session.
+        Line::Metrics => return conn.direct(server::metrics_reply(shared)),
         Line::Shutdown => {
             conn.direct(Reply::Ok("shutting down".into()));
             shared.stop.store(true, Ordering::SeqCst);
-            // Pipelined commands after SHUTDOWN are discarded, as in the
-            // thread front-end (its reader breaks immediately).
+            // Pipelined commands after SHUTDOWN are discarded.
             conn.stop_input = true;
+            return;
         }
         // Scheduling controls: answered inline so they bypass the session's
         // inbox — a CANCEL must work precisely when that inbox is backed up.
         Line::Prio(class) => {
-            if let Some(slot) = &conn.slot {
-                let reply = match server::resolve_priority(Some(&class)) {
-                    Ok(Some(p)) => {
-                        slot.set_priority(p);
+            let reply = conn
+                .slot
+                .as_ref()
+                .map(|s| match server::parse_priority(&class) {
+                    Ok(p) => {
+                        s.set_priority(p);
                         Reply::Ok(format!("prio={}", p.name()))
                     }
-                    Ok(None) => unreachable!("Some in, Some out"),
                     Err(e) => Reply::Err(e),
-                };
-                conn.direct(reply);
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
+                });
+            return conn.direct(reply.unwrap_or_else(no_session));
         }
         Line::Cancel => {
-            if let Some(slot) = &conn.slot {
-                let n = slot.cancel();
-                conn.direct(Reply::Ok(format!("cancelled pending={n}")));
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
+            let reply = (conn.slot.as_ref())
+                .map(|s| Reply::Ok(format!("cancelled pending={}", s.cancel())));
+            return conn.direct(reply.unwrap_or_else(no_session));
         }
-        Line::Close => {
-            // Release the slot only once the pool has the command: a
-            // rejected CLOSE (`BUSY`) must leave the session open so the
-            // client's retry still has something to close.
-            if conn.slot.is_some() {
-                if submit_cmd(conn, shared, completions, Command::Close) {
-                    conn.slot = None;
-                }
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
+        Line::Assert(body) => Command::Assert(body),
+        Line::Retract(tag) => Command::Retract(tag),
+        Line::Run(n) => Command::Run(n),
+        Line::Cs => Command::Cs,
+        Line::Wm(class) => Command::Wm(class),
+        Line::Stats => Command::Stats,
+        Line::Fired => Command::Fired,
+        Line::Snapshot => Command::Snapshot,
+        Line::Migrate(m) => Command::Migrate(m),
+        Line::Close => Command::Close,
+        Line::Open { .. } | Line::Restore { .. } | Line::BatchStart => {
+            unreachable!("OPEN is handled by handle_frame; the rest open bodies")
         }
-        session_cmd => {
-            let cmd = match session_cmd {
-                Line::Assert(body) => Command::Assert(body),
-                Line::Retract(tag) => Command::Retract(tag),
-                Line::Run(n) => Command::Run(n),
-                Line::Cs => Command::Cs,
-                Line::Wm(class) => Command::Wm(class),
-                Line::Stats => Command::Stats,
-                Line::Fired => Command::Fired,
-                Line::Snapshot => Command::Snapshot,
-                Line::Migrate(m) => Command::Migrate(m),
-                // Open/Restore/BatchStart/End/Metrics/Shutdown/Close
-                // handled above.
-                _ => unreachable!(),
-            };
-            if conn.slot.is_some() {
-                submit_cmd(conn, shared, completions, cmd);
-            } else {
-                conn.direct(Reply::Err("no open session".into()));
-            }
-        }
-    }
+    };
+    session_cmd(conn, shared, completions, cmd)
 }
 
-/// Reserves the next reply slot, then submits; a rejection fills the slot
-/// on the spot so ordering holds. Returns whether the pool accepted.
-fn submit_cmd(
+fn no_session() -> Reply {
+    Reply::Err("no open session".into())
+}
+
+/// Submits a command to the connection's session, or answers
+/// `no open session`. A `CLOSE` releases the slot only once the pool has
+/// the command: a rejected `CLOSE` (`BUSY`) must leave the session open so
+/// the client's retry still has something to close.
+fn session_cmd(
     conn: &mut Conn,
     shared: &Arc<Shared>,
     completions: &Arc<Completions>,
     cmd: Command,
-) -> bool {
-    let slot = conn.slot.clone().expect("caller checked for open session");
+) {
+    let Some(slot) = conn.slot.clone() else {
+        return conn.direct(no_session());
+    };
+    let close = matches!(cmd, Command::Close);
+    // Reserve the next reply slot before submitting; a rejection fills it
+    // on the spot so ordering holds.
     let seq = conn.next_seq;
     conn.next_seq += 1;
     conn.pending.push_back(PendingSlot::Waiting);
@@ -640,13 +462,17 @@ fn submit_cmd(
         seq,
     };
     let reject = match shared.pool.submit(&slot, cmd, tx) {
-        SubmitOutcome::Accepted => return true,
+        SubmitOutcome::Accepted => {
+            if close {
+                conn.slot = None;
+            }
+            return;
+        }
         SubmitOutcome::Busy => Reply::Busy("run queue full; retry".into()),
         SubmitOutcome::Overloaded => Reply::Overloaded("session queue full; drain replies".into()),
         SubmitOutcome::ShuttingDown => Reply::Err("server shutting down".into()),
     };
     conn.fill(seq, reject);
-    false
 }
 
 /// Moves the front run of filled replies into the write buffer (enforcing

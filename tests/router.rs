@@ -16,13 +16,18 @@ fn backend() -> serve::ServerHandle {
 }
 
 fn reference_fired(program: &str) -> Vec<String> {
+    direct_fired(program, "psm", 400_000)
+}
+
+/// The firing log of a direct engine run of `program` for up to `cycles`.
+fn direct_fired(program: &str, matcher: &str, cycles: u64) -> Vec<String> {
     let reg = Registry::with_builtins(Some("programs".as_ref()));
     let mut eng = reg
         .get(program)
         .unwrap()
-        .build(matcher_kind("psm").unwrap(), Default::default(), None)
+        .build(matcher_kind(matcher).unwrap(), Default::default(), None)
         .unwrap();
-    eng.run(400_000).unwrap();
+    eng.run(cycles).unwrap();
     eng.fired_log()
         .iter()
         .map(|(p, tags)| {
@@ -340,4 +345,82 @@ fn half_closed_client_still_receives_pipelined_replies() {
     admin.request("SHUTDOWN").unwrap().expect_ok().unwrap();
     router.join().unwrap();
     b0.join().unwrap();
+}
+
+/// Regression: a rejected `OPEN -` (here by `bad_open`) must still have
+/// its body read to `END` by the server, exactly as the router frames it.
+/// When the server parsed the body as commands instead, every body line
+/// drew an extra `ERR`, the router's reply count fell out of step, the
+/// next `OPEN`'s `OK` never registered, and a `DRAIN` then moved the pair
+/// without its session — silently losing it.
+fn rejected_inline_open_keeps_the_session_migratable(bad_open: &str) {
+    let b0 = backend();
+    let b1 = backend();
+    let router = Router::bind("127.0.0.1:0", RouterConfig::new(vec![b0.addr, b1.addr]))
+        .unwrap()
+        .spawn();
+
+    let mut c = Client::connect(router.addr).unwrap();
+    for line in [
+        bad_open,
+        "(literalize x v)",
+        "(p r (x ^v 1) --> (halt))",
+        "END",
+        "OPEN blocks vs2",
+        "RUN 3",
+    ] {
+        c.send_line(line).unwrap();
+    }
+    // Read up to the OPEN's and the RUN's OKs, however many ERRs precede
+    // them; their count is checked last, so a regression shows first as
+    // the lost session.
+    let (mut errs, mut oks) = (0, Vec::new());
+    while oks.len() < 2 {
+        match c.read_reply().unwrap() {
+            serve::ClientReply::Ok(payload) => oks.push(payload),
+            serve::ClientReply::Err(_) => errs += 1,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(oks[0].contains("program=blocks"), "{oks:?}");
+
+    let mut admin = Client::connect(router.addr).unwrap();
+    admin.request("ADMIN").unwrap().expect_ok().unwrap();
+    let ring = admin.request("RING?").unwrap().expect_lines().unwrap();
+    let owner = (0..2)
+        .find(|&b| ring_field(&ring, b, "pairs") == Some(1))
+        .expect("one backend holds the client pair");
+    assert_eq!(ring_field(&ring, owner, "sessions"), Some(1), "{ring:?}");
+
+    admin
+        .request(&format!("DRAIN {owner}"))
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    let after = wait_for_drain(&mut admin, owner);
+    assert_eq!(ring_field(&after, owner, "pairs"), Some(0), "{after:?}");
+    assert_eq!(
+        ring_field(&after, 1 - owner, "sessions"),
+        Some(1),
+        "{after:?}"
+    );
+
+    let fired = c.fired().unwrap().expect_lines().unwrap();
+    assert_eq!(fired, direct_fired("blocks", "vs2", 3));
+    assert_eq!(errs, 1, "{bad_open} draws one ERR and its body none");
+
+    admin.request("SHUTDOWN").unwrap().expect_ok().unwrap();
+    router.join().unwrap();
+    b0.join().unwrap();
+    b1.join().unwrap();
+}
+
+#[test]
+fn rejected_inline_open_unknown_matcher_keeps_session() {
+    rejected_inline_open_keeps_the_session_migratable("OPEN - nosuch");
+}
+
+#[test]
+fn rejected_inline_open_bad_priority_keeps_session() {
+    rejected_inline_open_keeps_the_session_migratable("OPEN - vs2 PRIO=bogus");
 }

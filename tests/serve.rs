@@ -3,13 +3,13 @@
 
 use parallel_ops5::prelude::*;
 use proptest::prelude::*;
-use serve::{matcher_kind, FrontEnd, Registry, ServeConfig, Server};
+use serve::{matcher_kind, Registry, Router, RouterConfig, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::sync::OnceLock;
 
 /// One shared server for the whole test binary (leaked; the process exit
 /// reaps it). Deep inboxes: these tests exercise semantics, not
-/// backpressure. Uses the default (reactor) front-end.
+/// backpressure.
 fn server_addr() -> SocketAddr {
     static SERVER: OnceLock<SocketAddr> = OnceLock::new();
     *SERVER.get_or_init(|| {
@@ -26,19 +26,14 @@ fn server_addr() -> SocketAddr {
     })
 }
 
-/// A second shared server on the legacy thread-per-connection front-end,
-/// so every cross-front-end test can diff the two reply streams.
-fn threads_server_addr() -> SocketAddr {
-    static SERVER: OnceLock<SocketAddr> = OnceLock::new();
-    *SERVER.get_or_init(|| {
-        let cfg = ServeConfig {
-            workers: 2,
-            queue_depth: 512,
-            programs_dir: Some("programs".into()),
-            front_end: FrontEnd::Threads,
-            ..ServeConfig::default()
-        };
-        let handle = Server::bind("127.0.0.1:0", cfg).unwrap().spawn();
+/// The shared server again, reached through a one-backend `ops5-router`,
+/// so the cross-path tests can diff the direct and routed reply streams.
+fn routed_addr() -> SocketAddr {
+    static ROUTER: OnceLock<SocketAddr> = OnceLock::new();
+    *ROUTER.get_or_init(|| {
+        let handle = Router::bind("127.0.0.1:0", RouterConfig::new(vec![server_addr()]))
+            .unwrap()
+            .spawn();
         let addr = handle.addr;
         std::mem::forget(handle);
         addr
@@ -309,9 +304,10 @@ fn metrics_roundtrip_and_endpoint_scrape() {
 
 /// Writes `bytes` to a raw socket in `chunk`-sized pieces with small
 /// pauses (forcing the server to see arbitrary partial-line read
-/// boundaries), then reads exactly `expected` framed replies.
+/// boundaries), then reads exactly `expected` replies, each rendered back
+/// to its wire text.
 fn drive_raw(addr: SocketAddr, bytes: &[u8], chunk: usize, expected: usize) -> Vec<String> {
-    use std::io::{Read, Write};
+    use std::io::{BufRead, Write};
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).unwrap();
     s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
@@ -320,38 +316,17 @@ fn drive_raw(addr: SocketAddr, bytes: &[u8], chunk: usize, expected: usize) -> V
         s.write_all(piece).unwrap();
         std::thread::sleep(std::time::Duration::from_micros(300));
     }
-    let mut buf = Vec::new();
+    let mut lines = std::io::BufReader::new(s).lines();
+    let mut reader = serve::protocol::ReplyReader::new();
     let mut replies = Vec::new();
-    let mut cur: Vec<String> = Vec::new();
-    let mut scan = 0usize;
     while replies.len() < expected {
-        // Pull complete lines out of what has arrived so far.
-        while let Some(nl) = buf[scan..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&buf[scan..scan + nl])
-                .trim_end_matches('\r')
-                .to_string();
-            scan += nl + 1;
-            let first = cur.is_empty();
-            cur.push(line);
-            let done = if first {
-                let head = cur.last().unwrap();
-                ["OK", "ERR", "BUSY", "OVERLOADED"]
-                    .iter()
-                    .any(|p| head == p || head.starts_with(&format!("{p} ")))
-            } else {
-                cur.last().unwrap() == "END"
-            };
-            if done {
-                replies.push(std::mem::take(&mut cur).join("\n"));
-            }
+        let line = lines
+            .next()
+            .unwrap_or_else(|| panic!("EOF after {} of {expected} replies", replies.len()))
+            .unwrap();
+        if let Some(reply) = reader.feed(line) {
+            replies.push(reply.to_string());
         }
-        if replies.len() >= expected {
-            break;
-        }
-        let mut tmp = [0u8; 4096];
-        let n = s.read(&mut tmp).unwrap();
-        assert!(n > 0, "EOF after {} of {expected} replies", replies.len());
-        buf.extend_from_slice(&tmp[..n]);
     }
     replies
 }
@@ -374,13 +349,13 @@ fn normalize_session_ids(replies: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// The satellite test: a script covering an inline `OPEN -` body, a
-/// `BATCH` body (including a mid-body parse error), and every common
-/// verb, delivered at byte granularities that split lines, bodies, and
-/// even UTF-8-safe ASCII tokens across reads. All chunkings on both
-/// front-ends must produce the identical reply stream.
+/// A script covering an inline `OPEN -` body, a `BATCH` body (including a
+/// mid-body parse error), and every common verb, delivered at byte
+/// granularities that split lines, bodies, and even ASCII tokens across
+/// reads. Every chunking, sent to the server directly and through the
+/// router, must produce the identical reply stream.
 #[test]
-fn fragmented_writes_parse_identically_on_both_front_ends() {
+fn fragmented_writes_parse_identically_direct_and_routed() {
     let script = "OPEN - vs2\n\
         (literalize a x y)\n\
         (literalize b x y)\n\
@@ -404,7 +379,7 @@ fn fragmented_writes_parse_identically_on_both_front_ends() {
     // WM?, parse error, CLOSE.
     let expected = 10;
     let mut streams = Vec::new();
-    for addr in [server_addr(), threads_server_addr()] {
+    for addr in [server_addr(), routed_addr()] {
         for chunk in [1usize, 3, 7, 4096] {
             let replies = drive_raw(addr, script.as_bytes(), chunk, expected);
             assert!(
@@ -428,16 +403,16 @@ fn fragmented_writes_parse_identically_on_both_front_ends() {
     for s in &streams[1..] {
         assert_eq!(
             s, &streams[0],
-            "reply stream diverged across chunkings/front-ends"
+            "reply stream diverged across chunkings/paths"
         );
     }
 }
 
 /// `RESTORE` bodies (snapshot text, which itself contains a lowercase
-/// `end` terminator line) survive arbitrary read boundaries on both
-/// front-ends, and the restored sessions behave identically.
+/// `end` terminator line) survive arbitrary read boundaries, direct and
+/// routed, and the restored sessions behave identically.
 #[test]
-fn fragmented_restore_parses_identically_on_both_front_ends() {
+fn fragmented_restore_parses_identically_direct_and_routed() {
     // Capture a mid-run snapshot once, from a session on the reactor
     // server.
     let mut c = serve::Client::connect(server_addr()).unwrap();
@@ -455,7 +430,7 @@ fn fragmented_restore_parses_identically_on_both_front_ends() {
     let expected = 4; // RESTORE, RUN, FIRED?, CLOSE
 
     let mut streams = Vec::new();
-    for addr in [server_addr(), threads_server_addr()] {
+    for addr in [server_addr(), routed_addr()] {
         for chunk in [7usize, 64, 997] {
             let replies = drive_raw(addr, script.as_bytes(), chunk, expected);
             assert!(
@@ -469,12 +444,12 @@ fn fragmented_restore_parses_identically_on_both_front_ends() {
     for s in &streams[1..] {
         assert_eq!(
             s, &streams[0],
-            "restore stream diverged across chunkings/front-ends"
+            "restore stream diverged across chunkings/paths"
         );
     }
 }
 
-/// The reactor front-end's slow-client guard: a connection that floods
+/// The reactor's slow-client guard: a connection that floods
 /// commands without ever reading replies is eventually cut off with a
 /// final `ERR overloaded` instead of buffering without bound.
 #[test]
